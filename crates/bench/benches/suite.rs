@@ -12,6 +12,7 @@ use congest::cluster::CommunicationCluster;
 use congest::graph::VertexId;
 use congest::routing::{route, Packet};
 use expander_decomp::decompose;
+use expander_decomp::sweep::{default_iterations, power_iteration_embedding};
 use partition_trees::build_k3::build_k3_tree;
 use ppstream::{simulate, Budgets, Chunk, Emitter, InstanceInput, MainAction, PartialPass, Token};
 
@@ -96,7 +97,10 @@ fn ppstream_sim(c: &mut Criterion) {
     group.finish();
 }
 
-/// E6/A2 bench target: expander decomposition.
+/// E6/A2 bench target: expander decomposition. The clustered graphs fit
+/// in one 2048-vertex chunk and run inline; the power-iteration cases span
+/// two chunks each (the `sparse-lowdeg` shapes), so their chunk batches go
+/// through the runtime pool.
 fn expander_decomp_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("expander_decomposition");
     group.sample_size(10);
@@ -104,6 +108,14 @@ fn expander_decomp_bench(c: &mut Criterion) {
         let g = graphs::clustered(n, 4, 0.4, 0.02, 4);
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
             b.iter(|| decompose(g, 0.25))
+        });
+    }
+    for (name, g) in
+        [("rr4000_d8", graphs::random_regular(4000, 8, 3)), ("hypercube12", graphs::hypercube(12))]
+    {
+        let iterations = default_iterations(g.n());
+        group.bench_with_input(BenchmarkId::new("power_iteration", name), &g, |b, g| {
+            b.iter(|| power_iteration_embedding(g, iterations))
         });
     }
     group.finish();

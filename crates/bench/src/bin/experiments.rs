@@ -1,5 +1,4 @@
-//! The experiment harness: regenerates the E1–E9 result tables recorded in
-//! `EXPERIMENTS.md`.
+//! The experiment harness: prints the E1–E9 result tables to stdout.
 //!
 //! Usage: `cargo run --release -p bench --bin experiments [e1 e2 … e9 a2 eng svc timing | all]`
 //!
@@ -88,9 +87,9 @@ fn main() {
 }
 
 /// TIMING: dense-graph scaling probe (the old `timing_probe` binary) —
-/// K3-listing rounds and wall time on dense `G(n, 1/2)` up to n = 512, the
-/// headline-scaling table of EXPERIMENTS.md, with the engine's per-round
-/// compute/exchange split from the telemetry layer.
+/// K3-listing rounds and wall time on dense `G(n, 1/2)` up to n = 512 (the
+/// headline-scaling table), with the engine's per-round compute/exchange
+/// split from the telemetry layer.
 ///
 /// The engine split covers only *physically executed* protocol rounds. On
 /// dense inputs the paper driver accounts most of its round cost
@@ -630,5 +629,5 @@ fn e9() {
     t.print();
     println!("\nnote: DLP12 runs in the all-to-all CONGESTED CLIQUE (different model);");
     println!("naive wins at simulable scales because the tree constants (c1=9, c2=36)");
-    println!("dominate until Δ ≫ c·n^(1/3) — see EXPERIMENTS.md for the crossover analysis.");
+    println!("dominate until Δ ≫ c·n^(1/3).");
 }

@@ -43,8 +43,10 @@ fn chunk_bounds(c: usize, n: usize) -> (usize, usize) {
 /// service wraps each *admitted* job in such a scope, so decomposition
 /// bursts land on the pool the job's admission `PoolLease` is held on and
 /// respect the `CLIQUE_ADMIT` gate instead of sneaking onto the global
-/// pool. Either path performs the exact same per-chunk arithmetic, so
-/// results never depend on the dispatch.
+/// pool. On the pool the calling thread runs chunks too, so a burst costs
+/// at most `min(chunks − 1, pool size)` worker wake-ups. Either path
+/// performs the exact same per-chunk arithmetic, so results never depend
+/// on the dispatch. Power iteration makes three such bursts per iteration.
 fn for_chunks(chunks: usize, f: impl Fn(usize) + Sync) {
     // one chunk batch per burst, whichever dispatch path runs it — lets
     // operators see how much of the pool traffic is decomposition work
@@ -59,36 +61,14 @@ fn for_chunks(chunks: usize, f: impl Fn(usize) + Sync) {
     }
 }
 
-/// Chunked degree-weighted-mean removal (the stationary direction),
-/// folding the per-chunk partial sums in fixed chunk order.
-fn deflate(g: &Graph, x: &mut [f64], partials: &mut [f64], total_vol: f64) {
-    if total_vol == 0.0 {
-        return;
+/// Σ `deg(v)·x[v]` over the chunk `xc` starting at vertex `lo`,
+/// accumulated in vertex order.
+fn weighted_sum(g: &Graph, xc: &[f64], lo: usize) -> f64 {
+    let mut acc = 0.0;
+    for (i, xv) in xc.iter().enumerate() {
+        acc += g.degree((lo + i) as VertexId) as f64 * xv;
     }
-    let n = x.len();
-    let chunks = partials.len();
-    {
-        let x_ref = &*x;
-        let pp = SlicePtr::new(partials);
-        for_chunks(chunks, |c| {
-            let (lo, hi) = chunk_bounds(c, n);
-            let mut acc = 0.0;
-            for (v, xv) in x_ref.iter().enumerate().take(hi).skip(lo) {
-                acc += g.degree(v as VertexId) as f64 * xv;
-            }
-            // SAFETY: chunk c is claimed exactly once per batch
-            *unsafe { pp.index_mut(c) } = acc;
-        });
-    }
-    let mean = partials.iter().sum::<f64>() / total_vol;
-    let xp = SlicePtr::new(x);
-    for_chunks(chunks, |c| {
-        let (lo, hi) = chunk_bounds(c, n);
-        // SAFETY: chunk ranges are disjoint
-        for v in unsafe { xp.slice_mut(lo, hi - lo) } {
-            *v -= mean;
-        }
-    });
+    acc
 }
 
 /// Computes a deterministic approximate second eigenvector of the lazy
@@ -96,15 +76,22 @@ fn deflate(g: &Graph, x: &mut [f64], partials: &mut [f64], total_vol: f64) {
 /// to one CONGEST round of neighbor exchange, which is how callers charge
 /// rounds for it.
 ///
-/// The inner loop — the `y = ½(I + D⁻¹A)x` matvec and both reductions
-/// (deflation mean, normalization) — runs as fixed-width chunks on the
-/// process-wide [`runtime::WorkerPool`], so the decomposition phase of the
-/// paper driver scales with shards like the round engines do. The chunk
-/// split is a pure function of `n` (never of the worker count) and partial
-/// sums are folded in chunk order, so the result is bit-for-bit identical
-/// at every pool size; pieces spanning at most one chunk run inline. Like
-/// every pool client, this must not be called from a task already running
-/// on the global pool (see the `runtime::pool` deadlock rule).
+/// The start vector is deflated once (degree-weighted mean removed); then
+/// each iteration runs as three chunk passes on the ambient
+/// [`runtime::WorkerPool`] (see `for_chunks`):
+///
+/// 1. `y = ½(I + D⁻¹A)x`, plus each chunk's partial `Σ deg·y`;
+/// 2. subtract the degree-weighted mean (the stationary direction), plus
+///    each chunk's partial sum of squares;
+/// 3. divide by the norm, to avoid underflow.
+///
+/// Partial sums are folded in chunk order between passes. The chunk split
+/// is a pure function of `n` (never of the worker count) and every chunk
+/// does its arithmetic in vertex order, so the result is bit-for-bit
+/// identical at every pool size; pieces spanning at most one chunk run
+/// inline. Like every pool client, this must not be called from a task
+/// already running on the global pool (see the `runtime::pool` deadlock
+/// rule).
 ///
 /// Isolated vertices receive embedding value 0.
 pub fn power_iteration_embedding(g: &Graph, iterations: usize) -> Vec<f64> {
@@ -120,11 +107,34 @@ pub fn power_iteration_embedding(g: &Graph, iterations: usize) -> Vec<f64> {
     // nothing
     let mut y = vec![0.0f64; n];
     let mut partials = vec![0.0f64; chunks];
-    deflate(g, &mut x, &mut partials, total_vol);
+    // `total_vol == 0` means no edges: there is no stationary direction to
+    // remove, and every matvec below yields the zero vector
+    if total_vol != 0.0 {
+        {
+            let x_ref = &x[..];
+            let pp = SlicePtr::new(&mut partials);
+            for_chunks(chunks, |c| {
+                let (lo, hi) = chunk_bounds(c, n);
+                // SAFETY: chunk c is claimed exactly once per batch
+                *unsafe { pp.index_mut(c) } = weighted_sum(g, &x_ref[lo..hi], lo);
+            });
+        }
+        let mean = partials.iter().sum::<f64>() / total_vol;
+        let xp = SlicePtr::new(&mut x);
+        for_chunks(chunks, |c| {
+            let (lo, hi) = chunk_bounds(c, n);
+            // SAFETY: chunk ranges are disjoint
+            for v in unsafe { xp.slice_mut(lo, hi - lo) } {
+                *v -= mean;
+            }
+        });
+    }
     for _ in 0..iterations {
+        // pass 1: matvec and the deflation partials of its result
         {
             let x_ref = &x[..];
             let yp = SlicePtr::new(&mut y);
+            let pp = SlicePtr::new(&mut partials);
             for_chunks(chunks, |c| {
                 let (lo, hi) = chunk_bounds(c, n);
                 // SAFETY: chunk ranges are disjoint
@@ -141,21 +151,30 @@ pub fn power_iteration_embedding(g: &Graph, iterations: usize) -> Vec<f64> {
                     }
                     yc[i] = 0.5 * x_ref[v] + 0.5 * acc / d as f64;
                 }
+                // SAFETY: chunk c is claimed exactly once per batch
+                *unsafe { pp.index_mut(c) } = weighted_sum(g, yc, lo);
             });
         }
         std::mem::swap(&mut x, &mut y);
-        deflate(g, &mut x, &mut partials, total_vol);
-        // normalize to avoid underflow (chunked sum of squares, folded in
-        // chunk order)
+        // pass 2: deflation and the norm partials of its result
         {
-            let x_ref = &x[..];
+            let mean = (total_vol != 0.0).then(|| partials.iter().sum::<f64>() / total_vol);
+            let xp = SlicePtr::new(&mut x);
             let pp = SlicePtr::new(&mut partials);
             for_chunks(chunks, |c| {
                 let (lo, hi) = chunk_bounds(c, n);
+                // SAFETY: chunk ranges are disjoint
+                let xc = unsafe { xp.slice_mut(lo, hi - lo) };
+                if let Some(mean) = mean {
+                    for v in xc.iter_mut() {
+                        *v -= mean;
+                    }
+                }
                 // SAFETY: chunk c is claimed exactly once per batch
-                *unsafe { pp.index_mut(c) } = x_ref[lo..hi].iter().map(|a| a * a).sum::<f64>();
+                *unsafe { pp.index_mut(c) } = xc.iter().map(|a| a * a).sum::<f64>();
             });
         }
+        // pass 3: normalization
         let norm: f64 = partials.iter().sum::<f64>().sqrt();
         if norm > 0.0 {
             let xp = SlicePtr::new(&mut x);

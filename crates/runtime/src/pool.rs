@@ -1,25 +1,28 @@
-//! A persistent worker pool with barrier-style scoped batches.
+//! A persistent worker pool with barrier-style indexed batches.
 //!
 //! [`WorkerPool`] spawns its threads **once** and keeps them alive for the
-//! pool's lifetime; [`WorkerPool::run_scoped`] submits a batch of borrowed
-//! closures and blocks until every one has finished — the calling thread
-//! *is* the barrier. This is what lets [`crate::ShardedNetwork`] execute
-//! its two per-round phases without any per-round `thread::spawn`: each
-//! phase becomes one batch on a long-lived pool, and the `run_scoped`
-//! return is the phase barrier.
+//! pool's lifetime; [`WorkerPool::run_indexed`] runs `f(0..count)` and
+//! blocks until every index has finished — the calling thread *is* the
+//! barrier. The caller is also a participant: it claims indices from the
+//! same counter as the workers, so a batch only pays for the workers it
+//! wakes, and a 1-index batch wakes none. This is what lets
+//! [`crate::ShardedNetwork`] execute its two per-round phases without any
+//! per-round `thread::spawn`: each phase becomes one batch on a long-lived
+//! pool, and the `run_indexed` return is the phase barrier.
 //!
 //! Batches from different threads may be in flight simultaneously (the
 //! batch service keeps one engine per in-flight job); tasks are keyed by
-//! the slot they write into, never by which worker executed them, so
+//! the index they write into, never by which thread executed them, so
 //! results are deterministic regardless of pool size or scheduling.
 //!
 //! # Deadlock rule
 //!
-//! A task running **on** the pool must never call `run_scoped` on the same
-//! pool: with every worker blocked waiting for its own sub-batch, no thread
-//! is left to execute it. The batch query service therefore runs jobs on
-//! its own dedicated threads and leaves the [`global_pool`] to the round
-//! engine.
+//! A task running **on** the pool must never call `run_indexed` on the
+//! same pool. Such a nested batch would still finish — its caller runs
+//! every index no worker claims — but it holds a worker in a barrier for
+//! its whole length, and nothing in the workspace relies on or tests it.
+//! The batch query service therefore runs jobs on its own dedicated
+//! threads and leaves the [`global_pool`] to the round engine.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -27,23 +30,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-/// An erased, queueable task. Tasks are `'static` once enqueued; the
-/// lifetime erasure is confined to [`WorkerPool::run_scoped`], whose
-/// blocking semantics make it sound.
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// One queue entry: either a boxed one-shot task ([`WorkerPool::run_scoped`])
-/// or a reference into an in-flight indexed batch
-/// ([`WorkerPool::run_indexed`] — the allocation-free path).
-enum WorkItem {
-    Task(Task),
-    Indexed(IndexedRef),
-}
-
 /// A raw reference to an [`IndexedShared`] living on a `run_indexed`
-/// caller's stack. Sound to send to workers because `run_indexed` does not
-/// return until every queued copy has been either consumed (participation
-/// registered under the queue lock) or purged from the queue.
+/// caller's stack — the only kind of queue entry. Sound to send to workers
+/// because `run_indexed` does not return until every queued copy has been
+/// either consumed (participation registered under the queue lock) or
+/// purged from the queue.
 #[derive(Clone, Copy)]
 struct IndexedRef(*const IndexedShared);
 
@@ -51,12 +42,15 @@ struct IndexedRef(*const IndexedShared);
 // blocking protocol of `run_indexed`.
 unsafe impl Send for IndexedRef {}
 
+/// The index and payload of a panicking task.
+type Panic = (usize, Box<dyn std::any::Any + Send>);
+
 /// Shared state of one `run_indexed` batch, stack-allocated in the caller.
 struct IndexedShared {
     /// The index-parameterized task body, lifetime-erased (valid for the
     /// whole batch because `run_indexed` blocks until the batch retires).
     f: *const (dyn Fn(usize) + Sync),
-    /// Next unclaimed index; workers `fetch_add` to claim.
+    /// Next unclaimed index; the caller and workers `fetch_add` to claim.
     next: AtomicUsize,
     /// Total number of indices.
     count: usize,
@@ -70,20 +64,26 @@ struct IndexedState {
     /// Workers currently holding a reference to this batch.
     participants: usize,
     /// Lowest-index panic payload observed so far.
-    panic: Option<(usize, Box<dyn std::any::Any + Send>)>,
+    panic: Option<Panic>,
+}
+
+impl IndexedState {
+    /// Folds one participant's finished count and lowest panic into the
+    /// batch.
+    fn absorb(&mut self, finished: usize, panic: Option<Panic>) {
+        self.remaining -= finished;
+        if let Some((i, payload)) = panic {
+            if self.panic.as_ref().is_none_or(|(j, _)| i < *j) {
+                self.panic = Some((i, payload));
+            }
+        }
+    }
 }
 
 struct PoolShared {
-    /// `(pending work, shutting down)`.
-    queue: Mutex<(VecDeque<WorkItem>, bool)>,
+    /// `(pending batch copies, shutting down)`.
+    queue: Mutex<(VecDeque<IndexedRef>, bool)>,
     work_ready: Condvar,
-}
-
-/// Progress of one `run_scoped` batch: `(tasks still running or queued,
-/// lowest-index panic payload observed)`.
-struct Batch {
-    state: Mutex<(usize, Option<(usize, Box<dyn std::any::Any + Send>)>)>,
-    done: Condvar,
 }
 
 /// A fixed-size pool of persistent worker threads executing batches of
@@ -98,7 +98,7 @@ pub struct WorkerPool {
     /// Per-tenant `(active, peak)` lease counts (see
     /// [`WorkerPool::lease_for`]).
     tenant_leases: Mutex<HashMap<u32, (usize, usize)>>,
-    /// Barrier batches ever executed (`run_scoped` + `run_indexed` calls).
+    /// Barrier batches ever executed (`run_indexed` calls with work).
     batches: AtomicU64,
 }
 
@@ -147,7 +147,7 @@ impl WorkerPool {
     /// Takes an instrumented **lease** on the pool: a RAII handle marking
     /// one logical client (e.g. one admitted sharded-engine job) as
     /// currently running batches here. Leases are bookkeeping, not
-    /// capacity — they never block, and `run_scoped` works the same with
+    /// capacity — they never block, and `run_indexed` works the same with
     /// or without one. Admission controllers (the batch query service)
     /// take one lease per admitted job so tests and operators can observe
     /// how many round-barrier clients interleave on the pool at once via
@@ -215,87 +215,36 @@ impl WorkerPool {
     }
 
     /// Barrier batches executed over the pool's lifetime (one per
-    /// [`WorkerPool::run_scoped`] / [`WorkerPool::run_indexed`] call) —
+    /// non-empty [`WorkerPool::run_indexed`] call, including 1-index
+    /// batches the caller runs alone) —
     /// lets tests assert that a computation's batches landed on *this*
     /// pool rather than the global one.
     pub fn batches_run(&self) -> u64 {
         self.batches.load(Ordering::SeqCst)
     }
 
-    /// Executes `tasks` on the pool and blocks until all of them have
-    /// completed — the scoped-borrow barrier. Task results are returned
-    /// through whatever slots the closures captured; completion order is
-    /// irrelevant because every task owns its slot exclusively.
+    /// Executes `f(0)`, `f(1)`, …, `f(count - 1)` and blocks until all of
+    /// them have completed — the **allocation-free** barrier batch. The
+    /// calling thread claims indices from the same atomic counter as the
+    /// workers, so each index runs exactly once on whichever thread claimed
+    /// it; only `min(count - 1, size)` copies of the batch are queued for
+    /// workers, none for a 1-index batch. `f` is shared by reference
+    /// across threads (hence `Fn + Sync`), and the batch descriptor lives
+    /// on this caller's stack — in steady state the only queue traffic is
+    /// copies of one raw pointer into a capacity-retaining deque, which is
+    /// what lets the sharded round engine run both of its per-round phases
+    /// without a single heap allocation.
     ///
-    /// If any task panics, the payload of the **lowest-index** panicking
-    /// task is re-raised here after the whole batch has drained (so
-    /// partially-executed batches never leave tasks running against freed
-    /// borrows, and the surfaced panic does not depend on completion
-    /// order — shard 0's violation wins, matching the sequential engine,
-    /// which hits the lowest vertex first).
-    pub fn run_scoped<'scope>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        obs::metrics().pool_batches.inc();
-        let batch =
-            Arc::new(Batch { state: Mutex::new((tasks.len(), None)), done: Condvar::new() });
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            for (index, task) in tasks.into_iter().enumerate() {
-                // SAFETY: `run_scoped` does not return until the batch
-                // counter hits zero, i.e. until every task has run to
-                // completion (or panicked and been recorded). The `'scope`
-                // borrows captured by the closure therefore strictly outlive
-                // every use of the erased `'static` copy; the closure never
-                // escapes this function's dynamic extent.
-                let task: Task =
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task) };
-                let batch = Arc::clone(&batch);
-                q.0.push_back(WorkItem::Task(Box::new(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(task));
-                    let mut st = batch.state.lock().unwrap();
-                    st.0 -= 1;
-                    if let Err(payload) = outcome {
-                        if st.1.as_ref().is_none_or(|(i, _)| index < *i) {
-                            st.1 = Some((index, payload));
-                        }
-                    }
-                    if st.0 == 0 {
-                        batch.done.notify_all();
-                    }
-                })));
-            }
-            self.shared.work_ready.notify_all();
-        }
-        let mut st = batch.state.lock().unwrap();
-        while st.0 > 0 {
-            st = batch.done.wait(st).unwrap();
-        }
-        if let Some((_, payload)) = st.1.take() {
-            drop(st);
-            resume_unwind(payload);
-        }
-    }
-
-    /// Executes `f(0)`, `f(1)`, …, `f(count - 1)` on the pool and blocks
-    /// until all of them have completed — the indexed, **allocation-free**
-    /// counterpart of [`WorkerPool::run_scoped`]. Workers claim indices
-    /// from an atomic counter, so each index runs exactly once; `f` is
-    /// shared by reference across workers (hence `Fn + Sync`), and the
-    /// batch descriptor lives on this caller's stack — in steady state the
-    /// only queue traffic is copies of one raw pointer into a
-    /// capacity-retaining deque, which is what lets the sharded round
-    /// engine run both of its per-round phases without a single heap
-    /// allocation.
+    /// If any index panics, every other index still runs, and the payload
+    /// of the **lowest** panicking index is re-raised here after the whole
+    /// batch has drained — so partially-executed batches never leave tasks
+    /// running against freed borrows, and the surfaced panic does not
+    /// depend on completion order or on which thread ran the index (shard
+    /// 0's violation wins, matching the sequential engine, which hits the
+    /// lowest vertex first).
     ///
-    /// Panic semantics match `run_scoped`: every index still runs, and the
-    /// payload of the lowest panicking index is re-raised here after the
-    /// batch drains.
-    ///
-    /// The [deadlock rule](self) applies unchanged: never call this from a
-    /// task running on the same pool.
+    /// The [deadlock rule](self) applies: never call this from a task
+    /// running on the same pool.
     pub fn run_indexed<'scope, F>(&self, count: usize, f: F)
     where
         F: Fn(usize) + Sync + 'scope,
@@ -318,17 +267,20 @@ impl WorkerPool {
             state: Mutex::new(IndexedState { remaining: count, participants: 0, panic: None }),
             done: Condvar::new(),
         };
-        // one queue entry per worker that could usefully participate
-        let copies = count.min(self.workers.len());
-        {
+        // one queue entry per worker that could usefully join the caller
+        let copies = (count - 1).min(self.workers.len());
+        if copies > 0 {
             let mut q = self.shared.queue.lock().unwrap();
             for _ in 0..copies {
-                q.0.push_back(WorkItem::Indexed(IndexedRef(&job)));
+                q.0.push_back(IndexedRef(&job));
+                self.shared.work_ready.notify_one();
             }
-            self.shared.work_ready.notify_all();
         }
-        // 1. wait until every index has run to completion
+        // 1. run indices here until the counter runs out, then wait until
+        //    every index claimed elsewhere has run to completion
+        let (finished, panic) = claim_indices(&job);
         let mut st = job.state.lock().unwrap();
+        st.absorb(finished, panic);
         while st.remaining > 0 {
             st = job.done.wait(st).unwrap();
         }
@@ -336,9 +288,9 @@ impl WorkerPool {
         // 2. purge queue copies nobody picked up (a worker that pops a
         //    copy registers as a participant *under the queue lock*, so
         //    after this purge no new participant can appear)
-        {
+        if copies > 0 {
             let mut q = self.shared.queue.lock().unwrap();
-            q.0.retain(|item| !matches!(item, WorkItem::Indexed(r) if std::ptr::eq(r.0, &job)));
+            q.0.retain(|r| !std::ptr::eq(r.0, &job));
         }
         // 3. wait for active participants to let go of the batch, then
         //    `job` (and `f`) may safely die with this frame
@@ -353,13 +305,14 @@ impl WorkerPool {
     }
 }
 
-/// One worker's engagement with an indexed batch: claim indices until the
-/// counter runs out, then retire under the batch lock.
-fn participate(job: &IndexedShared) {
+/// Claims indices of `job` until the counter runs out, running each under
+/// `catch_unwind`. Returns how many ran here and the lowest-index panic
+/// among them.
+fn claim_indices(job: &IndexedShared) -> (usize, Option<Panic>) {
     // SAFETY: `job.f` is valid for the batch's lifetime (see run_indexed).
     let f = unsafe { &*job.f };
     let mut finished = 0usize;
-    let mut local_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
+    let mut local_panic: Option<Panic> = None;
     loop {
         let i = job.next.fetch_add(1, Ordering::Relaxed);
         if i >= job.count {
@@ -372,14 +325,16 @@ fn participate(job: &IndexedShared) {
         }
         finished += 1;
     }
+    (finished, local_panic)
+}
+
+/// One worker's engagement with an indexed batch: claim indices until the
+/// counter runs out, then retire under the batch lock.
+fn participate(job: &IndexedShared) {
+    let (finished, panic) = claim_indices(job);
     let mut st = job.state.lock().unwrap();
-    st.remaining -= finished;
+    st.absorb(finished, panic);
     st.participants -= 1;
-    if let Some((i, payload)) = local_panic {
-        if st.panic.as_ref().is_none_or(|(j, _)| i < *j) {
-            st.panic = Some((i, payload));
-        }
-    }
     // notify while still holding the lock: the submitter cannot observe
     // the updated counters and free `job` before we are done touching it
     job.done.notify_all();
@@ -489,20 +444,18 @@ impl Drop for WorkerPool {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
-        let item = {
+        let r = {
             let mut q = shared.queue.lock().unwrap();
             loop {
-                if let Some(item) = q.0.pop_front() {
-                    if let WorkItem::Indexed(r) = &item {
-                        // register participation BEFORE releasing the queue
-                        // lock: the submitter purges leftover references
-                        // under this lock before invalidating the batch, so
-                        // a registered participant is guaranteed a live one
-                        // (lock order queue → batch state, used nowhere
-                        // else, so this nesting cannot deadlock).
-                        unsafe { &*r.0 }.state.lock().unwrap().participants += 1;
-                    }
-                    break item;
+                if let Some(r) = q.0.pop_front() {
+                    // register participation BEFORE releasing the queue
+                    // lock: the submitter purges leftover references under
+                    // this lock before invalidating the batch, so a
+                    // registered participant is guaranteed a live one (lock
+                    // order queue → batch state, used nowhere else, so this
+                    // nesting cannot deadlock).
+                    unsafe { &*r.0 }.state.lock().unwrap().participants += 1;
+                    break r;
                 }
                 if q.1 {
                     return;
@@ -510,11 +463,8 @@ fn worker_loop(shared: &PoolShared) {
                 q = shared.work_ready.wait(q).unwrap();
             }
         };
-        match item {
-            WorkItem::Task(task) => task(),
-            // SAFETY: participation registered above keeps the batch alive.
-            WorkItem::Indexed(r) => participate(unsafe { &*r.0 }),
-        }
+        // SAFETY: participation registered above keeps the batch alive.
+        participate(unsafe { &*r.0 });
     }
 }
 
@@ -567,19 +517,105 @@ pub fn ambient_pool() -> Arc<WorkerPool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
+
+    /// How long a caller-path test waits before failing instead of hanging.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// Runs `f` on a fresh thread while the only worker of the 1-worker
+    /// `pool` is held inside a batch another thread submitted, so every
+    /// batch `f` submits can only make progress on its own caller. Returns
+    /// `f`'s result and the id of the thread it ran on; fails instead of
+    /// hanging if the worker cannot be held or `f` does not return in time.
+    fn with_busy_worker<R: Send>(pool: &WorkerPool, f: impl FnOnce() -> R + Send) -> (R, ThreadId) {
+        assert_eq!(pool.size(), 1);
+        let entered = AtomicUsize::new(0);
+        let release = AtomicBool::new(false);
+        let hold = |_| {
+            entered.fetch_add(1, Ordering::SeqCst);
+            while !release.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| pool.run_indexed(2, hold));
+            // one index held by that submitter, the other by the worker
+            let deadline = Instant::now() + PATIENCE;
+            while entered.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if entered.load(Ordering::SeqCst) < 2 {
+                release.store(true, Ordering::SeqCst);
+                panic!("the worker and the holding caller never both held an index");
+            }
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = scope.spawn(move || {
+                let r = f();
+                let _ = tx.send(());
+                (r, std::thread::current().id())
+            });
+            let finished = rx.recv_timeout(PATIENCE);
+            release.store(true, Ordering::SeqCst);
+            assert!(finished.is_ok(), "batch did not finish while the only worker was busy");
+            runner.join().unwrap()
+        })
+    }
 
     #[test]
-    fn batch_runs_every_task_exactly_once() {
-        let pool = WorkerPool::new(3);
-        let mut slots = vec![0usize; 17];
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| Box::new(move || *slot = i + 1) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
-        pool.run_scoped(tasks);
-        assert_eq!(slots, (1..=17).collect::<Vec<_>>());
+    fn caller_runs_the_batch_when_every_worker_is_busy() {
+        let pool = WorkerPool::new(1);
+        let runs: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+        let ran_on: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+        let ((), caller) = with_busy_worker(&pool, || {
+            pool.run_indexed(4, |i| {
+                runs[i].fetch_add(1, Ordering::SeqCst);
+                ran_on.lock().unwrap().push(std::thread::current().id());
+            });
+        });
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1), "each index exactly once");
+        assert_eq!(ran_on.into_inner().unwrap(), vec![caller; 4]);
+    }
+
+    #[test]
+    fn lowest_index_panic_is_reraised_when_the_caller_ran_it() {
+        let pool = WorkerPool::new(1);
+        let ran = AtomicUsize::new(0);
+        let (result, _) = with_busy_worker(&pool, || {
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run_indexed(5, |i| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    if i % 2 == 1 {
+                        panic!("index {i} failed");
+                    }
+                });
+            }))
+        });
+        let payload = result.expect_err("panic must reach the submitter");
+        assert_eq!(payload.downcast_ref::<String>().expect("panic message"), "index 1 failed");
+        assert_eq!(ran.load(Ordering::SeqCst), 5, "every index still ran");
+        // a 1-index batch always runs on its caller
+        let single = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_indexed(1, |_| panic!("only index failed"));
+        }));
+        let payload = single.expect_err("panic must reach the submitter");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"only index failed"));
+    }
+
+    #[test]
+    fn single_index_batch_queues_nothing_and_is_counted() {
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let ran = AtomicUsize::new(0);
+        pool.run_indexed(1, |i| {
+            assert_eq!(i, 0);
+            assert_eq!(std::thread::current().id(), caller, "runs on the caller");
+            assert!(pool.shared.queue.lock().unwrap().0.is_empty(), "no copy queued");
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert_eq!(pool.batches_run(), 1);
     }
 
     #[test]
@@ -587,65 +623,11 @@ mod tests {
         let pool = WorkerPool::new(2);
         let counter = AtomicUsize::new(0);
         for _ in 0..5 {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..8)
-                .map(|_| {
-                    Box::new(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped(tasks);
+            pool.run_indexed(8, |_| {
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
         }
         assert_eq!(counter.load(Ordering::Relaxed), 40);
-    }
-
-    #[test]
-    fn panics_propagate_after_the_batch_drains() {
-        let pool = WorkerPool::new(2);
-        let ran = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..6)
-                .map(|i| {
-                    let ran = &ran;
-                    Box::new(move || {
-                        ran.fetch_add(1, Ordering::Relaxed);
-                        if i == 3 {
-                            panic!("task 3 exploded");
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped(tasks);
-        }));
-        assert!(result.is_err(), "panic must reach the submitter");
-        // every task ran before the panic was re-raised
-        assert_eq!(ran.load(Ordering::Relaxed), 6);
-        // the pool survives a panicked batch
-        let mut slot = 0u32;
-        pool.run_scoped(vec![Box::new(|| slot = 9)]);
-        assert_eq!(slot, 9);
-    }
-
-    #[test]
-    fn lowest_index_panic_wins_regardless_of_completion_order() {
-        let pool = WorkerPool::new(4);
-        for _ in 0..20 {
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..8)
-                    .map(|i| {
-                        Box::new(move || {
-                            if i >= 2 {
-                                panic!("task {i} failed");
-                            }
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool.run_scoped(tasks);
-            }));
-            let payload = result.unwrap_err();
-            let msg = payload.downcast_ref::<String>().expect("panic message");
-            assert_eq!(msg, "task 2 failed");
-        }
     }
 
     #[test]
@@ -710,20 +692,21 @@ mod tests {
 
     #[test]
     fn batches_run_counts_both_batch_kinds() {
+        // the two kinds: 1-index batches the caller runs alone, and
+        // batches it shares with the workers
         let pool = WorkerPool::new(2);
         assert_eq!(pool.batches_run(), 0);
-        pool.run_scoped(vec![Box::new(|| {})]);
+        pool.run_indexed(1, |_| {});
         pool.run_indexed(3, |_| {});
-        pool.run_scoped(Vec::new()); // no-ops don't count
-        pool.run_indexed(0, |_| {});
+        pool.run_indexed(0, |_| {}); // no-ops don't count
         assert_eq!(pool.batches_run(), 2);
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
         let pool = WorkerPool::new(1);
-        pool.run_scoped(Vec::new());
         pool.run_indexed(0, |_| unreachable!("no indices to run"));
+        assert_eq!(pool.batches_run(), 0);
     }
 
     #[test]
@@ -804,26 +787,27 @@ mod tests {
 
     #[test]
     fn concurrent_batches_from_many_threads_interleave() {
-        let pool = Arc::new(WorkerPool::new(2));
+        // more submitters than workers: callers run what the one worker
+        // cannot reach
+        let pool = Arc::new(WorkerPool::new(1));
         std::thread::scope(|scope| {
-            for t in 0..4 {
+            for t in 0..6usize {
                 let pool = Arc::clone(&pool);
                 scope.spawn(move || {
-                    let mut sums = [0u64; 9];
-                    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = sums
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(i, s)| {
-                            Box::new(move || *s = (t * 100 + i) as u64)
-                                as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    pool.run_scoped(tasks);
-                    for (i, s) in sums.iter().enumerate() {
-                        assert_eq!(*s, (t * 100 + i) as u64);
+                    for round in 0..20 {
+                        let mut sums = [0u64; 5];
+                        let ptr = SlicePtr::new(&mut sums[..]);
+                        pool.run_indexed(5, |i| {
+                            // SAFETY: disjoint indices per batch
+                            *unsafe { ptr.index_mut(i) } = (t * 1000 + round * 10 + i) as u64;
+                        });
+                        for (i, s) in sums.iter().enumerate() {
+                            assert_eq!(*s, (t * 1000 + round * 10 + i) as u64);
+                        }
                     }
                 });
             }
         });
+        assert_eq!(pool.batches_run(), 120);
     }
 }
